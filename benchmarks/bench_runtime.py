@@ -186,7 +186,7 @@ def run_session_pass(cases, journal_dir, fsync):
     from repro.service.app import SchedulingService, ServiceConfig
 
     service = SchedulingService(ServiceConfig(
-        journal_dir=journal_dir, journal_fsync=fsync, batching=False))
+        journal_dir=journal_dir, journal_fsync=fsync))
     streams = []
     for schedule, events in cases:
         status, body = service.dispatch(

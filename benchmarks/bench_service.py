@@ -12,7 +12,7 @@ percentiles for two phases:
 * **warm** -- repeated passes over the same corpus: the shared
   :class:`~repro.core.resultcache.ScheduleCache` answers from canonical
   keys, so these numbers measure the service overhead (HTTP parse,
-  dispatch, pool hop, batcher, serialization) more than the scheduler.
+  dispatch, pool hop, serialization) more than the scheduler.
 
 The **direct** baseline times ``schedule_graph(anchor_mode=FULL)`` on
 the same graphs in the same process -- the warm service p50 over it is
@@ -135,8 +135,7 @@ def bench_service(quick=False, workers=4):
     with tempfile.TemporaryDirectory() as tmp:
         server = ServiceServer(ServiceConfig(
             port=0, workers=workers,
-            cache_path=str(Path(tmp) / "bench_cache.jsonl"),
-            batch_window_ms=1.0))
+            cache_path=str(Path(tmp) / "bench_cache.jsonl")))
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.05},
                                   daemon=True)
@@ -183,7 +182,6 @@ def bench_service(quick=False, workers=4):
             "warm_p50_ms": percentile(direct_warm, 0.50),
         },
         "server_stats": {
-            "batching": stats.get("batching"),
             "cache": stats.get("cache"),
         },
     }

@@ -103,8 +103,7 @@ DECLARED_ROOTS = frozenset({"ConstraintGraphError", "HdlError",
 #: Names a lock attribute may be constructed from (``threading``
 #: primitives or the sanitizer factories of :mod:`repro.sanitize`).
 _LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock", "Condition",
-                                "make_lock", "make_rlock",
-                                "make_condition"})
+                                "make_lock", "make_rlock"})
 
 _COPY_METHODS = frozenset({"copy", "__copy__", "__deepcopy__", "clone"})
 

@@ -237,7 +237,7 @@ def untrusted_graph_from_dict(data: Any,
             strict structural validation.
         BudgetExceededError: the declared payload is over the caps.
     """
-    from repro.qa.serialize import graph_from_dict, validate_graph_dict
+    from repro.qa.serialize import graph_from_dict
 
     if not isinstance(data, dict):
         raise MalformedInputError(
@@ -256,5 +256,4 @@ def untrusted_graph_from_dict(data: Any,
             raise BudgetExceededError(
                 f"untrusted graph declares {len(declared_edges)} edges, "
                 f"over the budget of {budget.max_edges}")
-    validate_graph_dict(data, strict=True)
-    return graph_from_dict(data)
+    return graph_from_dict(data, strict=True)

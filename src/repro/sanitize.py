@@ -2,11 +2,11 @@
 
 The service stack holds a small, fixed set of in-process locks -- the
 per-graph analysis-cache ``RLock``, the schedule-cache and journal
-locks, the session table, the batcher condition, the stats lock -- and
+locks, the session table, the stats lock -- and
 PRs 7-9 each shipped a concurrency bug in their interplay that was only
 found late.  This module makes the lock discipline *checkable*: every
 named lock site is built through :func:`make_lock` /
-:func:`make_rlock` / :func:`make_condition`, which return the plain
+:func:`make_rlock`, which return the plain
 :mod:`threading` primitive by default (zero overhead, no wrapper, no
 extra frame) and an instrumented wrapper when ``REPRO_SANITIZE=1``.
 
@@ -43,8 +43,8 @@ except ImportError:  # pragma: no cover - non-POSIX
     _fcntl = None  # type: ignore[assignment]
 
 __all__ = [
-    "enabled", "make_lock", "make_rlock", "make_condition",
-    "Recorder", "TrackedLock", "TrackedRLock", "TrackedCondition",
+    "enabled", "make_lock", "make_rlock",
+    "Recorder", "TrackedLock", "TrackedRLock",
     "install_io_hooks", "uninstall_io_hooks", "report", "reset",
     "global_recorder",
 ]
@@ -227,60 +227,6 @@ class TrackedRLock(TrackedLock):
     _factory = staticmethod(threading.RLock)
 
 
-class TrackedCondition:
-    """A :class:`threading.Condition` whose lock is order-tracked.
-
-    ``wait`` releases the underlying lock, so the held-stack entry is
-    popped for the duration -- acquisitions made by *other* code on
-    this thread while blocked in ``wait`` cannot happen, and the
-    re-acquisition on wakeup is recorded like any other.
-    """
-
-    def __init__(self, recorder: Recorder, name: str, *,
-                 io_ok: bool = False) -> None:
-        self._inner = threading.Condition()
-        self._recorder = recorder
-        self.name = name
-        self.io_ok = io_ok
-
-    def acquire(self, *args: Any) -> bool:
-        got = self._inner.acquire(*args)
-        if got:
-            self._recorder.on_acquire(self.name, self.io_ok, id(self))
-        return got
-
-    def release(self) -> None:
-        self._recorder.on_release(self.name, id(self))
-        self._inner.release()
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        self._recorder.on_release(self.name, id(self))
-        try:
-            return self._inner.wait(timeout)
-        finally:
-            self._recorder.on_acquire(self.name, self.io_ok, id(self))
-
-    def wait_for(self, predicate: Any,
-                 timeout: Optional[float] = None) -> Any:
-        self._recorder.on_release(self.name, id(self))
-        try:
-            return self._inner.wait_for(predicate, timeout)
-        finally:
-            self._recorder.on_acquire(self.name, self.io_ok, id(self))
-
-    def notify(self, n: int = 1) -> None:
-        self._inner.notify(n)
-
-    def notify_all(self) -> None:
-        self._inner.notify_all()
-
-
 # ----------------------------------------------------------------------
 # the global recorder and the factories the lock sites call
 # ----------------------------------------------------------------------
@@ -303,12 +249,6 @@ def make_rlock(name: str, *, io_ok: bool = False) -> Any:
     if not ENABLED:
         return threading.RLock()
     return TrackedRLock(_GLOBAL, name, io_ok=io_ok)
-
-
-def make_condition(name: str, *, io_ok: bool = False) -> Any:
-    if not ENABLED:
-        return threading.Condition()
-    return TrackedCondition(_GLOBAL, name, io_ok=io_ok)
 
 
 def report() -> Dict[str, Any]:

@@ -5,11 +5,10 @@ The service stack, bottom up:
 * :mod:`repro.service.pool` -- a bounded worker pool; connections are
   cheap, scheduling work is admitted (:class:`PoolSaturatedError`
   -> HTTP 503);
-* :mod:`repro.service.batcher` -- leader/follower coalescing of
-  concurrent ``/schedule`` requests into one
-  :func:`~repro.core.batch.schedule_many` arena sweep;
-* :mod:`repro.service.app` -- transport-agnostic dispatch: endpoints,
-  budgets, the error contract;
+* :mod:`repro.service.app` -- transport-agnostic dispatch: endpoints
+  (each ``/schedule`` request is scheduled on its own pool thread;
+  ``/schedule_many`` is the arena kernel's entry point), budgets, the
+  error contract;
 * :mod:`repro.service.sessions` -- the bounded table of durable
   executor sessions (journaled ``/sessions`` streams with idempotent
   replay and crash recovery);
@@ -27,7 +26,6 @@ from repro.service.app import (
     ServiceConfig,
     ServiceError,
 )
-from repro.service.batcher import CoalescingBatcher
 from repro.service.client import ServiceClient
 from repro.service.pool import (
     JobTimeoutError,
@@ -40,7 +38,6 @@ from repro.service.sessions import Session, SessionSealedError, SessionTable
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "CoalescingBatcher",
     "JobTimeoutError",
     "PoolSaturatedError",
     "PoolShutdownError",

@@ -55,7 +55,6 @@ from repro.resilience.guard import (
     guarded_schedule,
     untrusted_graph_from_dict,
 )
-from repro.service.batcher import CoalescingBatcher
 from repro.service.sessions import (
     Session,
     SessionSealedError,
@@ -104,12 +103,8 @@ class ServiceConfig:
         workers: worker-pool size; this is the real concurrency and is
             logged at startup, never silently capped.
         queue_capacity: pending-job bound (None -> ``8 * workers``).
-        batch_window_ms: coalescing window for ``/schedule`` (0 still
-            coalesces simultaneous arrivals; ``batching=False`` turns
-            the batcher off entirely).
-        max_batch: coalescing flush threshold.
         cache_path: optional persistent schedule-cache JSONL shared by
-            the batcher and ``/schedule_many``.
+            ``/schedule`` and ``/schedule_many``.
         default_budget: per-request admission budget when the tenant
             has no specific one.
         tenant_budgets: per-tenant overrides keyed by ``X-Tenant``.
@@ -129,9 +124,6 @@ class ServiceConfig:
     def __init__(self, *, host: str = "127.0.0.1", port: int = 8080,
                  workers: int = 4,
                  queue_capacity: Optional[int] = None,
-                 batching: bool = True,
-                 batch_window_ms: float = 2.0,
-                 max_batch: int = 64,
                  cache_path: Optional[str] = None,
                  default_budget: Optional[RunBudget] = None,
                  tenant_budgets: Optional[Mapping[str, RunBudget]] = None,
@@ -146,9 +138,6 @@ class ServiceConfig:
         self.port = port
         self.workers = workers
         self.queue_capacity = queue_capacity
-        self.batching = batching
-        self.batch_window_ms = batch_window_ms
-        self.max_batch = max_batch
         self.cache_path = cache_path
         self.default_budget = default_budget
         self.tenant_budgets = dict(tenant_budgets or {})
@@ -178,6 +167,7 @@ class ServiceStats:
         self._started = time.monotonic()
         self._by_endpoint: Dict[str, Dict[str, int]] = {}
         self._latencies: List[float] = []
+        self._recorded = 0  # reservoir-wide cursor, across endpoints
 
     def record(self, endpoint: str, status: int, seconds: float) -> None:
         with self._lock:
@@ -189,7 +179,8 @@ class ServiceStats:
             if len(self._latencies) < self._RESERVOIR:
                 self._latencies.append(seconds)
             else:  # overwrite round-robin: cheap, recency-biased
-                self._latencies[entry["requests"] % self._RESERVOIR] = seconds
+                self._latencies[self._recorded % self._RESERVOIR] = seconds
+            self._recorded += 1
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -208,18 +199,13 @@ class ServiceStats:
 
 
 class SchedulingService:
-    """Dispatches decoded requests; owns the cache, batcher and stats."""
+    """Dispatches decoded requests; owns the cache, sessions and stats."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.cache: Optional[ScheduleCache] = (
             ScheduleCache(self.config.cache_path)
             if self.config.cache_path else None)
-        self.batcher: Optional[CoalescingBatcher] = (
-            CoalescingBatcher(window_s=self.config.batch_window_ms / 1e3,
-                              max_batch=self.config.max_batch,
-                              cache=self.cache)
-            if self.config.batching else None)
         self.stats = ServiceStats()
         self.sessions = SessionTable(
             journal_dir=self.config.journal_dir,
@@ -314,7 +300,16 @@ class SchedulingService:
 
     def handle_schedule(self, payload: Any,
                         tenant: Optional[str]) -> Dict[str, Any]:
-        """One graph in, one schedule out (coalesced when possible)."""
+        """One graph in, one schedule out.
+
+        Every request runs on its own: ``guarded_schedule`` on the
+        handler's pool thread.  With a shared cache, FULL-mode,
+        auto-well-posed, untraced requests go through a one-graph
+        ``schedule_many`` instead, so repeated designs are cache hits
+        (FULL mode comes back bit-identical from the arena, the
+        batch_consistency oracle invariant).  Traced requests never do:
+        the point of trace=True is telemetry for *this* request.
+        """
         payload = _object(payload)
         budget = self.config.budget_for(tenant)
         graph = untrusted_graph_from_dict(payload.get("graph"), budget)
@@ -326,14 +321,10 @@ class SchedulingService:
 
         tracer = Tracer() if _flag(payload, "trace", False) else None
         t0 = time.perf_counter()
-        # Traced requests bypass the batcher: the point of trace=True is
-        # telemetry for *this* request, not a shared arena sweep.
-        batched = (self.batcher is not None and mode is AnchorMode.FULL
-                   and auto_well_pose and tracer is None)
-        if batched:
-            # FULL mode comes back bit-identical from the arena sweep
-            # (PR-6 batch_consistency invariant), so coalescing is safe.
-            schedule = self.batcher.schedule(graph)
+        if (self.cache is not None and mode is AnchorMode.FULL
+                and auto_well_pose and tracer is None):
+            schedule = schedule_many([graph], cache=self.cache,
+                                     budget=budget)[0].unpack()
         elif tracer is not None:
             with use_tracer(tracer):
                 schedule = guarded_schedule(graph, budget, anchor_mode=mode,
@@ -341,10 +332,7 @@ class SchedulingService:
         else:
             schedule = guarded_schedule(graph, budget, anchor_mode=mode,
                                         auto_well_pose=auto_well_pose)
-        body: Dict[str, Any] = {
-            "schedule": schedule_to_dict(schedule),
-            "batched": batched,
-        }
+        body: Dict[str, Any] = {"schedule": schedule_to_dict(schedule)}
         if tracer is not None:
             body["telemetry"] = {
                 "duration_ms": round((time.perf_counter() - t0) * 1e3, 3),
@@ -481,7 +469,7 @@ class SchedulingService:
                        tenant: Optional[str]) -> Dict[str, Any]:
         """Online execution: graph + completion-event stream -> issue log.
 
-        The graph is scheduled (through the shared batcher-free guarded
+        The graph is scheduled (through the guarded per-graph
         pipeline, honoring the tenant budget), then the event list is
         streamed through an :class:`~repro.runtime.OnlineExecutor`.
         Watchdog timeouts follow the error contract: an ABORT surfaces
@@ -755,8 +743,6 @@ class SchedulingService:
         body = self.stats.snapshot()
         body["protocol"] = PROTOCOL_VERSION
         body["workers"] = self.config.workers
-        if self.batcher is not None:
-            body["batching"] = self.batcher.stats()
         if self.cache is not None:
             body["cache"] = {"entries": len(self.cache),
                              "hits": self.cache.hits,

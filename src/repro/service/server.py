@@ -53,11 +53,9 @@ class ServiceServer(ThreadingHTTPServer):
         # Port 0 binds an ephemeral port; expose what we actually got.
         self.port = self.server_address[1]
         LOGGER.info(
-            "scheduling service on %s:%d -- %d workers, queue bound %d, "
-            "batching %s",
+            "scheduling service on %s:%d -- %d workers, queue bound %d",
             self.config.host, self.port, self.pool.workers,
-            self.pool.queue_capacity,
-            "on" if self.service.batcher is not None else "off")
+            self.pool.queue_capacity)
         if self.config.journal_dir is not None:
             LOGGER.info(
                 "session journals in %s -- %d session(s) recovered",

@@ -7,11 +7,9 @@ import threading
 
 from repro.sanitize import (
     Recorder,
-    TrackedCondition,
     TrackedLock,
     TrackedRLock,
     install_io_hooks,
-    make_condition,
     make_lock,
     make_rlock,
     uninstall_io_hooks,
@@ -24,7 +22,6 @@ def test_disabled_factories_return_plain_primitives():
     """REPRO_SANITIZE=0 (this test process): zero wrapper, zero cost."""
     assert type(make_lock("x")) is type(threading.Lock())
     assert type(make_rlock("x")) is type(threading.RLock())
-    assert isinstance(make_condition("x"), threading.Condition)
 
 
 def test_inversion_is_detected():
@@ -130,25 +127,6 @@ def test_fsync_hook_reports_held_lock(tmp_path):
     findings = recorder.report()["io_findings"]
     assert [f["kind"] for f in findings] == ["fsync"]
     assert findings[0]["locks"] == "table"
-
-
-def test_condition_wait_releases_held_entry():
-    recorder = Recorder()
-    cond = TrackedCondition(recorder, "batcher.pending")
-    seen = {}
-
-    def waiter():
-        with cond:
-            seen["held_before"] = list(recorder.held())
-            cond.wait(timeout=0.5)
-            seen["held_after"] = list(recorder.held())
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    thread.join()
-    assert seen["held_before"] == ["batcher.pending"]
-    assert seen["held_after"] == ["batcher.pending"]
-    assert recorder.report()["cycles"] == []
 
 
 def test_cross_thread_orders_merge():

@@ -18,6 +18,7 @@ from repro.resilience.guard import (
     RunBudget,
     guarded_schedule,
     load_untrusted_graph,
+    untrusted_graph_from_dict,
 )
 
 
@@ -192,3 +193,18 @@ class TestLoadUntrustedGraph:
         graph = load_untrusted_graph(path, RunBudget(max_vertices=100))
         schedule = guarded_schedule(graph)
         assert schedule.offsets
+
+    def test_untrusted_dict_is_validated_once(self, monkeypatch):
+        import repro.qa.serialize as serialize
+
+        calls = []
+        real = serialize.validate_graph_dict
+
+        def counting(data, **kwargs):
+            calls.append(kwargs)
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(serialize, "validate_graph_dict", counting)
+        graph = untrusted_graph_from_dict(graph_to_dict(fig2_graph()))
+        assert calls == [{"strict": True}]
+        assert graph_to_dict(graph) == graph_to_dict(fig2_graph())

@@ -1,11 +1,11 @@
 """Concurrency correctness: the service under parallel fire.
 
 The load-bearing test is the differential one: N client threads push a
-mixed corpus through a live server (coalescing enabled, small pool) and
+mixed corpus through a live server (shared cache, small pool) and
 every response must be *bit-identical* to a serial
 ``schedule_graph(anchor_mode=FULL)`` run of the same graph -- the
-batcher, the worker pool, the shared cache and the contextvar tracer
-must all be invisible to results.
+worker pool, the shared cache and the contextvar tracer must all be
+invisible to results.
 """
 
 import random
@@ -19,7 +19,6 @@ from repro.designs.random_graphs import random_constraint_graph
 from repro.io import schedule_to_dict
 from repro.qa.serialize import graph_to_dict
 from repro.service import (
-    CoalescingBatcher,
     PoolSaturatedError,
     ServiceClient,
     WorkerPool,
@@ -144,88 +143,3 @@ class TestAdmission:
             job.wait(10)
             stop_server(server, thread)
 
-
-class TestBatcher:
-    def test_coalesces_concurrent_requests(self):
-        corpus = mixed_corpus(12, seed=3)
-        expected = [
-            schedule_to_dict(schedule_graph(g, anchor_mode=AnchorMode.FULL))
-            for g in corpus]
-        batcher = CoalescingBatcher(window_s=0.05, max_batch=64)
-        barrier = threading.Barrier(len(corpus))
-        results = [None] * len(corpus)
-
-        def worker(index):
-            barrier.wait()
-            results[index] = schedule_to_dict(
-                batcher.schedule(corpus[index]))
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(len(corpus))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert results == expected
-        stats = batcher.stats()
-        assert stats["requests"] == len(corpus)
-        assert stats["coalesced_requests"] > 0
-        assert stats["largest_batch"] > 1
-
-    def test_per_graph_errors_do_not_poison_the_batch(self):
-        from repro.core.exceptions import ConstraintGraphError
-        from repro.core.graph import ConstraintGraph
-
-        good = mixed_corpus(1, seed=9)[0]
-        bad = ConstraintGraph()
-        bad.add_operation("a", 3)
-        bad.add_operation("b", 1)
-        bad.add_sequencing_edge("a", "b")
-        bad.add_max_constraint("a", "b", 1)
-
-        batcher = CoalescingBatcher(window_s=0.05, max_batch=8)
-        barrier = threading.Barrier(2)
-        outcome = {}
-
-        def run(name, graph):
-            barrier.wait()
-            try:
-                outcome[name] = batcher.schedule(graph)
-            except ConstraintGraphError as error:
-                outcome[name] = error
-
-        threads = [threading.Thread(target=run, args=("good", good)),
-                   threading.Thread(target=run, args=("bad", bad))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert isinstance(outcome["bad"], ConstraintGraphError)
-        assert schedule_to_dict(outcome["good"]) == schedule_to_dict(
-            schedule_graph(good, anchor_mode=AnchorMode.FULL))
-
-    def test_max_batch_flushes_early(self):
-        import time
-
-        # Exactly max_batch concurrent requests: the threshold (not the
-        # absurdly long window) must flush the batch.
-        corpus = mixed_corpus(3, seed=5)
-        batcher = CoalescingBatcher(window_s=30.0, max_batch=3)
-        barrier = threading.Barrier(len(corpus))
-        done = [None] * len(corpus)
-
-        def worker(index):
-            barrier.wait()
-            done[index] = batcher.schedule(corpus[index])
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(len(corpus))]
-        t0 = time.monotonic()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        elapsed = time.monotonic() - t0
-        assert all(s is not None for s in done)
-        assert batcher.stats()["largest_batch"] == 3
-        assert elapsed < 20, f"window, not max_batch, flushed ({elapsed=})"

@@ -19,11 +19,16 @@ from repro.designs.random_graphs import random_constraint_graph
 from repro.io import schedule_to_dict
 from repro.qa.serialize import graph_to_dict
 from repro.resilience.guard import RunBudget
-from repro.service import ServiceClient, ServiceConfig, ServiceServer
+from repro.service import (
+    SchedulingService,
+    ServiceClient,
+    ServiceConfig,
+    ServiceServer,
+)
 
 
 def make_server(**overrides):
-    defaults = {"port": 0, "workers": 2, "batch_window_ms": 1.0}
+    defaults = {"port": 0, "workers": 2}
     config = ServiceConfig(**{**defaults, **overrides})
     server = ServiceServer(config)
     thread = threading.Thread(target=server.serve_forever,
@@ -79,12 +84,11 @@ class TestRoundTrips:
         expected = schedule_graph(graph, anchor_mode=AnchorMode.FULL)
         assert body["schedule"] == schedule_to_dict(expected)
 
-    def test_schedule_explicit_mode_bypasses_batcher(self, client):
+    def test_schedule_explicit_mode(self, client):
         graph = pipeline_graph()
         status, body = client.schedule(graph_to_dict(graph),
                                        mode="irredundant")
         assert status == 200
-        assert body["batched"] is False
         expected = schedule_graph(graph,
                                   anchor_mode=AnchorMode.IRREDUNDANT)
         assert body["schedule"] == schedule_to_dict(expected)
@@ -93,7 +97,6 @@ class TestRoundTrips:
         status, body = client.schedule(graph_to_dict(pipeline_graph()),
                                        trace=True)
         assert status == 200
-        assert body["batched"] is False  # traced requests skip the batcher
         telemetry = body["telemetry"]
         assert telemetry["duration_ms"] >= 0
         assert telemetry["spans"] > 0
@@ -146,12 +149,11 @@ class TestRoundTrips:
         assert body["silent"] == 0
         assert "chaos campaign" in body["summary"]
 
-    def test_stats_reports_workers_and_batching(self, client):
+    def test_stats_reports_workers(self, client):
         client.healthz()
         status, body = client.stats()
         assert status == 200
         assert body["workers"] == 2
-        assert "batching" in body
         assert body["endpoints"]["/healthz"]["requests"] >= 1
         assert body["latency_ms"]["p50"] is not None
 
@@ -228,6 +230,19 @@ class TestErrorContract:
         assert status == 429
         assert body["error_type"] == "BudgetExceededError"
         assert "over the budget" in body["error"]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_full_mode_schedule_honours_deadline(self, tmp_path, cached):
+        # The tenant deadline binds default-mode (FULL) requests too,
+        # on the direct path and on the shared-cache path alike.
+        service = SchedulingService(ServiceConfig(
+            default_budget=RunBudget(deadline_s=1e-9),
+            cache_path=str(tmp_path / "cache.jsonl") if cached else None))
+        graph = random_constraint_graph(random.Random(5), 60)
+        status, body = service.dispatch(
+            "POST", "/schedule", {"graph": graph_to_dict(graph)})
+        assert status == 429, body
+        assert body["error_type"] == "BudgetExceededError"
 
     def test_tenant_budget_overrides_default(self, client, server):
         graph_dict = graph_to_dict(pipeline_graph())

@@ -3,6 +3,9 @@
 * ``ServiceStats`` uptime is derived from ``time.monotonic()``: an NTP
   step or DST jump in the wall clock must never make it leap or go
   negative (the regression the old ``time.time()`` arithmetic had).
+* the ``/stats`` latency reservoir overwrites with one cursor shared
+  by every endpoint, so interleaved endpoints cannot clobber each
+  other's newest samples.
 * ``ServiceClient(retries=N)`` opts in to bounded retry on 503: the
   client honors the server's ``Retry-After`` hint (capped), falls back
   to doubling backoff without one, and gives up after N re-sends.
@@ -21,7 +24,7 @@ from repro.service.app import ServiceStats
 
 
 def make_server(**overrides):
-    defaults = {"port": 0, "workers": 1, "batch_window_ms": 1.0}
+    defaults = {"port": 0, "workers": 1}
     config = ServiceConfig(**{**defaults, **overrides})
     server = ServiceServer(config)
     thread = threading.Thread(target=server.serve_forever,
@@ -93,6 +96,18 @@ class TestUptimeMonotonic:
             assert 0 <= first["uptime_s"] <= second["uptime_s"]
         finally:
             stop_server(server, thread)
+
+
+class TestLatencyReservoir:
+    def test_interleaved_endpoints_keep_every_new_sample(self):
+        stats = ServiceStats()
+        for _ in range(ServiceStats._RESERVOIR):
+            stats.record("/schedule", 200, 1.0)
+        # 100 more /schedule samples interleaved with 100 /healthz ones.
+        fresh = [2.0 + i for i in range(200)]
+        for i, seconds in enumerate(fresh):
+            stats.record(("/schedule", "/healthz")[i % 2], 200, seconds)
+        assert sorted(s for s in stats._latencies if s != 1.0) == fresh
 
 
 class TestRetryDelays:
